@@ -164,10 +164,7 @@ fn cluster_config(shards: usize) -> ClusterConfig {
             queue_capacity: 4096,
             deadline: None,
             soft_deadline: None,
-            fault_hook: None,
-            // Shard rows measure the scatter-gather tier alone; the
-            // coalescing win is measured separately below.
-            max_batch: 1,
+            ..EngineConfig::default()
         },
         soft_deadline: None,
         hard_deadline: Duration::from_secs(5),
@@ -190,69 +187,6 @@ struct Record {
     p99_us: f64,
     qps: f64,
     bitwise_equal_to_1_shard: bool,
-}
-
-struct BatchRecord {
-    max_batch: usize,
-    qps: f64,
-    batches: u64,
-    batched_queries: u64,
-}
-
-/// Measures single-engine throughput with query coalescing capped at
-/// `max_batch`: the whole load is submitted up front (the queue holds it),
-/// so free workers see a standing backlog and coalesce up to the cap.
-/// Returns every response's ranking bits (in submission order) alongside
-/// the throughput, so the caller can assert batched == unbatched bitwise.
-///
-/// # Panics
-/// Panics if a query against the healthy benchmark engine fails — a
-/// programmer error in the bench itself, never a data-dependent failure.
-fn run_batched_load(
-    index: &LsiIndex,
-    queries: &[Query],
-    max_batch: usize,
-) -> (Vec<Vec<(usize, u64)>>, BatchRecord) {
-    let engine = lsi_serve::QueryEngine::new(
-        index.clone(),
-        EngineConfig {
-            workers: 2,
-            queue_capacity: queries.len().max(64),
-            deadline: None,
-            soft_deadline: None,
-            fault_hook: None,
-            max_batch,
-        },
-    );
-    let t0 = Instant::now();
-    let tickets: Vec<_> = queries
-        .iter()
-        .map(|q| engine.submit(q.clone()).expect("queue sized for the load"))
-        .collect();
-    let bits: Vec<Vec<(usize, u64)>> = tickets
-        .into_iter()
-        .map(|t| {
-            let response = t.wait().expect("healthy engine query");
-            response
-                .hits()
-                .hits()
-                .iter()
-                .map(|h| (h.doc, h.score.to_bits()))
-                .collect()
-        })
-        .collect();
-    let wall = t0.elapsed().as_secs_f64();
-    let stats = engine.stats();
-    engine.shutdown();
-    (
-        bits,
-        BatchRecord {
-            max_batch,
-            qps: queries.len() as f64 / wall,
-            batches: stats.batches,
-            batched_queries: stats.batched_queries,
-        },
-    )
 }
 
 fn percentile(sorted_us: &[f64], p: f64) -> f64 {
@@ -450,23 +384,6 @@ fn main() -> Result<(), String> {
         }
     }
 
-    // Coalesced scoring: same engine, same standing backlog, max_batch 1
-    // (sequential) vs 32 (coalesced). Correctness first, as above: every
-    // response must be bitwise the sequential answer before the batched
-    // throughput number is recorded.
-    let (sequential_bits, sequential) = run_batched_load(&index, &queries, 1);
-    let (batched_bits, batched) = run_batched_load(&index, &queries, 32);
-    if sequential_bits != batched_bits {
-        return Err("batched answers diverged from sequential scoring".to_owned());
-    }
-    let batch_records = [sequential, batched];
-    for r in &batch_records {
-        eprintln!(
-            "  max_batch={:<3} {:>8.0} q/s  ({} queries coalesced into {} passes)",
-            r.max_batch, r.qps, r.batched_queries, r.batches
-        );
-    }
-
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Hand-rolled JSON: the workspace is dependency-free by policy, and the
     // schema is flat enough that formatting it directly stays readable.
@@ -490,10 +407,10 @@ fn main() -> Result<(), String> {
         );
         json.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
-    json.push_str("  ],\n");
+    json.push_str("  ]");
     if !process_records.is_empty() {
         json.push_str(
-            "  \"cross_process_note\": \"same shard counts served by shard-serve daemon children over the Unix-socket RPC transport; answers verified bitwise-identical to the in-process reference before timing\",\n",
+            ",\n  \"cross_process_note\": \"same shard counts served by shard-serve daemon children over the Unix-socket RPC transport; answers verified bitwise-identical to the in-process reference before timing\",\n",
         );
         json.push_str("  \"cross_process_shard_counts\": [\n");
         for (i, r) in process_records.iter().enumerate() {
@@ -508,25 +425,9 @@ fn main() -> Result<(), String> {
                 "\n"
             });
         }
-        json.push_str("  ],\n");
+        json.push_str("  ]");
     }
-    json.push_str(
-        "  \"batching_note\": \"single engine, 2 workers, full backlog; batched answers verified bitwise-identical to sequential before timing\",\n",
-    );
-    json.push_str("  \"batching\": [\n");
-    for (i, r) in batch_records.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"max_batch\": {}, \"queries_per_sec\": {:.0}, \"coalesced_passes\": {}, \"coalesced_queries\": {}, \"bitwise_equal_to_sequential\": true}}",
-            r.max_batch, r.qps, r.batches, r.batched_queries
-        );
-        json.push_str(if i + 1 < batch_records.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ]\n}\n");
+    json.push_str("\n}\n");
 
     std::fs::write(&args.out, &json).map_err(|e| format!("writing {}: {e}", args.out))?;
     println!("wrote {} ({} shard counts)", args.out, records.len());

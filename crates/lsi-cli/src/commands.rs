@@ -785,8 +785,7 @@ pub fn cmd_serve_bench(container: Container, opts: &ServeBenchOptions) -> Result
                 std::thread::sleep(Duration::from_millis(2));
             }
         })),
-        // The slow-query hook above already forces per-query pickup.
-        max_batch: 1,
+        ..EngineConfig::default()
     };
     // Durable mode serves through the write-ahead journal in a seed-keyed
     // scratch directory (deterministic path, no ambient entropy).
@@ -920,7 +919,7 @@ fn serve_bench_cluster(container: Container, opts: &ServeBenchOptions) -> Result
             deadline: None, // the coordinator's hard deadline governs
             soft_deadline: None,
             fault_hook: None,
-            max_batch: EngineConfig::default().max_batch,
+            ..EngineConfig::default()
         },
         soft_deadline: opts.soft_deadline_ms.map(Duration::from_millis),
         hard_deadline: Duration::from_millis(opts.deadline_ms),

@@ -1,9 +1,9 @@
-//! Bounded, CRC-framed byte envelopes — the journal's framing discipline
-//! lifted to a reusable codec for stream transports.
+//! Bounded, CRC-framed byte envelopes — the one framing codec behind the
+//! write-ahead journal's disk records and the shard RPC transport's wire
+//! messages.
 //!
-//! The shard RPC transport (`lsi-serve`) speaks the same paranoid wire
-//! grammar the write-ahead journal applies to disk bytes: every message is
-//! one frame of
+//! Every journal record (`lsi_core::journal`) and every RPC message
+//! (`lsi-serve`) is one frame of
 //!
 //! ```text
 //! | len: u32 le | payload: len bytes | crc: u32 le |
@@ -14,8 +14,8 @@
 //! incremental ([`scan_frame`] over an accumulation buffer) so a reader
 //! can interleave bounded socket reads with frame scans without ever
 //! trusting a declared length: a length prefix above [`MAX_FRAME`] is
-//! rejected *before* any allocation, and an incomplete frame allocates
-//! nothing at all.
+//! rejected *before* any allocation, and scanning itself allocates
+//! nothing (a complete frame's payload is borrowed from the buffer).
 //!
 //! # Examples
 //!
@@ -39,9 +39,9 @@
 
 use crate::storage::Crc32;
 
-/// Upper bound on one frame payload, rejected before any allocation so a
-/// corrupt or hostile length prefix cannot drive memory use (mirrors the
-/// journal's cap).
+/// Upper bound on one frame payload (a journal record body or an RPC
+/// message), rejected before any allocation so a corrupt or hostile length
+/// prefix cannot drive memory use.
 pub const MAX_FRAME: usize = 1 << 24;
 
 /// Frame-level overhead: the `u32` length prefix plus the `u32` CRC
@@ -85,17 +85,17 @@ impl std::error::Error for FrameError {}
 
 /// Outcome of scanning an accumulation buffer for one complete frame.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FrameScan {
+pub enum FrameScan<'a> {
     /// A complete, checksum-valid frame sat at the front of the buffer.
     Complete {
-        /// The frame's payload bytes.
-        payload: Vec<u8>,
+        /// The frame's payload bytes, borrowed from the scanned buffer.
+        payload: &'a [u8],
         /// Total bytes the frame occupied (drain this many from the
         /// buffer before scanning for the next frame).
         consumed: usize,
     },
     /// The buffer holds only a prefix of a frame; read more bytes and
-    /// scan again. Nothing was allocated.
+    /// scan again.
     Incomplete,
 }
 
@@ -122,11 +122,19 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
+/// The payload length declared by the frame at the front of `buf`, once
+/// its whole length prefix is present. Unchecked: [`scan_frame`] bounds it
+/// against [`MAX_FRAME`] before trusting it.
+pub(crate) fn declared_len(buf: &[u8]) -> Option<usize> {
+    let prefix: [u8; 4] = buf.get(..4)?.try_into().ok()?;
+    Some(u32::from_le_bytes(prefix) as usize)
+}
+
 /// Scans the front of `buf` for one complete frame.
 ///
 /// Returns [`FrameScan::Incomplete`] while the buffer holds only a frame
-/// prefix (no allocation happens on that path), the decoded payload once
-/// the whole frame is present and its checksum holds, or a typed
+/// prefix, the payload (borrowed, never copied) once the whole frame is
+/// present and its checksum holds, or a typed
 /// [`FrameError`] when the bytes can never become a valid frame (length
 /// above [`MAX_FRAME`], or a checksum mismatch).
 ///
@@ -134,11 +142,10 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// [`FrameError::TooLarge`] for an over-cap length prefix;
 /// [`FrameError::ChecksumMismatch`] when the CRC trailer disagrees with
 /// the received length prefix + payload.
-pub fn scan_frame(buf: &[u8]) -> Result<FrameScan, FrameError> {
-    if buf.len() < 4 {
+pub fn scan_frame(buf: &[u8]) -> Result<FrameScan<'_>, FrameError> {
+    let Some(len) = declared_len(buf) else {
         return Ok(FrameScan::Incomplete);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+    };
     // Bound the declared length before any allocation or arithmetic that
     // depends on it (the S2 discipline: never trust wire lengths).
     if len > MAX_FRAME {
@@ -166,7 +173,7 @@ pub fn scan_frame(buf: &[u8]) -> Result<FrameScan, FrameError> {
         return Err(FrameError::ChecksumMismatch { stored, computed });
     }
     Ok(FrameScan::Complete {
-        payload: payload.to_vec(),
+        payload,
         consumed: total,
     })
 }

@@ -874,129 +874,6 @@ impl LsiIndex {
         }
         Ok(RankedList::from_hits(hits).truncated(top_k))
     }
-
-    /// Scores a coalesced batch of LSI-space queries in one pass over the
-    /// document representations.
-    ///
-    /// Each entry is ranked exactly as [`LsiIndex::try_query_vector`] would
-    /// rank it — same validation, same per-document cosine arithmetic, same
-    /// [`CHECK_INTERVAL`](crate::cancel::CHECK_INTERVAL) cancellation
-    /// granularity — but the document rows are streamed once per
-    /// [`CHECK_INTERVAL`] block and dotted against every still-live query
-    /// via [`Matrix::dot_rows_batch_into`], amortizing the row-matrix
-    /// memory traffic across the batch. The result for every entry is
-    /// **bitwise identical** to the sequential per-query call, for every
-    /// batch size, ordering, and partitioning: scores are a pure function
-    /// of the query bits and the stored row bits, and the batched kernel
-    /// performs the identical rounding sequence per element.
-    ///
-    /// Per-entry failures (wrong dimension, non-finite vector, cancelled
-    /// token) are reported in that entry's slot without disturbing the
-    /// rest of the batch. Results are returned in input order.
-    pub fn query_vectors_batch(
-        &self,
-        batch: &[VectorQuery<'_>],
-    ) -> Vec<Result<RankedList, LsiError>> {
-        let n_docs = self.n_docs();
-        let mut results: Vec<Option<Result<RankedList, LsiError>>> =
-            (0..batch.len()).map(|_| None).collect();
-        let mut qns = vec![0.0f64; batch.len()];
-        let mut hits: Vec<Vec<SearchHit>> = (0..batch.len()).map(|_| Vec::new()).collect();
-        let mut active: Vec<usize> = Vec::with_capacity(batch.len());
-        for (slot, entry) in batch.iter().enumerate() {
-            if entry.vector.len() != self.rank() {
-                results[slot] = Some(Err(BadQuery::WrongDimension {
-                    got: entry.vector.len(),
-                    expected: self.rank(),
-                }
-                .into()));
-                continue;
-            }
-            if entry.vector.iter().any(|x| !x.is_finite()) {
-                results[slot] = Some(Err(BadQuery::NonFiniteQuery.into()));
-                continue;
-            }
-            let qn = vector::norm(entry.vector);
-            if qn <= 0.0 {
-                results[slot] = Some(Ok(RankedList::default()));
-                continue;
-            }
-            qns[slot] = qn;
-            active.push(slot);
-        }
-        let mut scores: Vec<f64> = Vec::new();
-        let mut block_start = 0;
-        while block_start < n_docs && !active.is_empty() {
-            // Sequential scoring polls at every d % CHECK_INTERVAL == 0, i.e.
-            // right before each block; mirror that here, per live query.
-            active.retain(|&slot| match batch[slot].cancel {
-                Some(token) => match token.check() {
-                    Ok(()) => true,
-                    Err(e) => {
-                        results[slot] = Some(Err(e));
-                        discard_partial_hits(&mut hits[slot]);
-                        false
-                    }
-                },
-                None => true,
-            });
-            if active.is_empty() {
-                break;
-            }
-            let block_len = CHECK_INTERVAL.min(n_docs - block_start);
-            let queries: Vec<&[f64]> = active.iter().map(|&s| batch[s].vector).collect();
-            scores.clear();
-            scores.resize(block_len * active.len(), 0.0);
-            self.doc_reps
-                .dot_rows_batch_into(block_start, block_len, &queries, &mut scores)
-                // lsi-lint: allow(E1-panic-policy, "invariant: block bounds and query lengths were validated above")
-                .expect("batched dot shapes are valid by construction");
-            for r in 0..block_len {
-                let d = block_start + r;
-                let dn = self.doc_norms[d];
-                if dn <= 0.0 {
-                    continue;
-                }
-                for (qi, &slot) in active.iter().enumerate() {
-                    hits[slot].push(SearchHit {
-                        doc: d,
-                        score: (scores[r * active.len() + qi] / (qns[slot] * dn)).clamp(-1.0, 1.0),
-                    });
-                }
-            }
-            block_start += block_len;
-        }
-        for slot in active {
-            let h = std::mem::take(&mut hits[slot]);
-            results[slot] = Some(Ok(RankedList::from_hits(h).truncated(batch[slot].top_k)));
-        }
-        results
-            .into_iter()
-            // lsi-lint: allow(E1-panic-policy, "invariant: every slot is filled by validation, cancellation, or finalization above")
-            .map(|r| r.expect("every batch slot resolved"))
-            .collect()
-    }
-}
-
-/// One query of a coalesced scoring batch (see
-/// [`LsiIndex::query_vectors_batch`]).
-#[derive(Debug)]
-pub struct VectorQuery<'a> {
-    /// The LSI-space query vector (length must equal the index rank).
-    pub vector: &'a [f64],
-    /// Ranking cutoff for this query.
-    pub top_k: usize,
-    /// Optional cooperative-cancel token, polled at the same
-    /// [`CHECK_INTERVAL`](crate::cancel::CHECK_INTERVAL) granularity as
-    /// sequential scoring.
-    pub cancel: Option<&'a CancelToken>,
-}
-
-/// Drops any partial hits accumulated for a query that was cancelled
-/// mid-scan (they can never be reported).
-fn discard_partial_hits(hits: &mut Vec<SearchHit>) {
-    hits.clear();
-    hits.shrink_to_fit();
 }
 
 #[cfg(test)]
@@ -1012,104 +889,6 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let corpus = model.model().sample_corpus(60, &mut rng);
         (TermDocumentMatrix::from_generated(&corpus).unwrap(), model)
-    }
-
-    /// Asserts two ranked lists carry identical doc ids and score bits.
-    fn assert_ranking_bits_eq(got: &RankedList, want: &RankedList, what: &str) {
-        assert_eq!(got.len(), want.len(), "{what}: hit count differs");
-        for (g, w) in got.hits().iter().zip(want.hits()) {
-            assert_eq!(g.doc, w.doc, "{what}: doc order differs");
-            assert_eq!(
-                g.score.to_bits(),
-                w.score.to_bits(),
-                "{what}: score bits differ on doc {}",
-                g.doc
-            );
-        }
-    }
-
-    #[test]
-    fn batched_scoring_matches_sequential_bitwise() {
-        let (td, _) = small_corpus(7);
-        let index = LsiIndex::build(&td, LsiConfig::with_rank(3)).unwrap();
-        let queries: Vec<Vec<f64>> = (0..6)
-            .map(|i| {
-                index.fold_in(&[
-                    (i % index.n_terms(), 1.0),
-                    ((i * 3 + 1) % index.n_terms(), 0.5),
-                ])
-            })
-            .collect();
-        let batch: Vec<VectorQuery<'_>> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, v)| VectorQuery {
-                vector: v,
-                top_k: 1 + i % 5,
-                cancel: None,
-            })
-            .collect();
-        let out = index.query_vectors_batch(&batch);
-        for (i, (entry, got)) in batch.iter().zip(&out).enumerate() {
-            let want = index
-                .try_query_vector(entry.vector, entry.top_k, None)
-                .unwrap();
-            assert_ranking_bits_eq(got.as_ref().unwrap(), &want, &format!("batch slot {i}"));
-        }
-    }
-
-    #[test]
-    fn batched_scoring_isolates_per_entry_failures() {
-        let (td, _) = small_corpus(9);
-        let index = LsiIndex::build(&td, LsiConfig::with_rank(2)).unwrap();
-        let good = index.fold_in(&[(0, 1.0)]);
-        let wrong_dim = vec![1.0; index.rank() + 1];
-        let non_finite = vec![f64::NAN; index.rank()];
-        let zero = vec![0.0; index.rank()];
-        let cancelled_token = CancelToken::new();
-        cancelled_token.cancel();
-        let batch = vec![
-            VectorQuery {
-                vector: &good,
-                top_k: 5,
-                cancel: None,
-            },
-            VectorQuery {
-                vector: &wrong_dim,
-                top_k: 5,
-                cancel: None,
-            },
-            VectorQuery {
-                vector: &non_finite,
-                top_k: 5,
-                cancel: None,
-            },
-            VectorQuery {
-                vector: &zero,
-                top_k: 5,
-                cancel: None,
-            },
-            VectorQuery {
-                vector: &good,
-                top_k: 5,
-                cancel: Some(&cancelled_token),
-            },
-        ];
-        let out = index.query_vectors_batch(&batch);
-        let want = index.try_query_vector(&good, 5, None).unwrap();
-        assert_ranking_bits_eq(out[0].as_ref().unwrap(), &want, "good entry");
-        assert!(matches!(
-            out[1],
-            Err(LsiError::BadQuery(BadQuery::WrongDimension { .. }))
-        ));
-        assert!(matches!(
-            out[2],
-            Err(LsiError::BadQuery(BadQuery::NonFiniteQuery))
-        ));
-        assert!(out[3].as_ref().unwrap().is_empty());
-        assert!(matches!(out[4], Err(LsiError::Cancelled)));
-        // The empty batch is a no-op.
-        assert!(index.query_vectors_batch(&[]).is_empty());
     }
 
     #[test]

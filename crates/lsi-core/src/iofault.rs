@@ -2,7 +2,7 @@
 //!
 //! Durable writes in this crate (journal appends, atomic snapshot
 //! rewrites, checkpoint compaction) route their bytes through the
-//! process-global [`io_faults`] injector. In production the injector is
+//! thread-scoped [`io_faults`] injector. In production the injector is
 //! disarmed and writes pass straight through; tests arm a
 //! [`WriteFault`](lsi_linalg::faults::WriteFault) to prove that every
 //! persistence path surfaces a typed [`StorageError`] and leaves exact
@@ -98,17 +98,18 @@ impl RetryPolicy {
     }
 }
 
-/// Process-global write-fault injector for durable persistence paths.
+/// Thread-scoped write-fault injector for durable persistence paths.
 ///
 /// Tests [`arm`](io_faults::arm) a fault; while the returned guard lives,
 /// every byte written through a [`MaybeFaulty`](io_faults::MaybeFaulty)
-/// wrapper or [`write_all`](io_faults::write_all) in this process is
-/// metered against the fault's byte boundary. Arming takes an exclusive
-/// test lock so concurrently running tests serialize instead of seeing
+/// wrapper or [`write_all`](io_faults::write_all) *on the arming thread*
+/// is metered against the fault's byte boundary. Writes on every other
+/// thread pass straight through, so concurrently running tests never see
 /// each other's faults; dropping the guard disarms.
 pub mod io_faults {
+    use std::cell::RefCell;
     use std::io::Write;
-    use std::sync::{Mutex, MutexGuard};
+    use std::marker::PhantomData;
 
     use lsi_linalg::faults::{FaultState, WriteFault};
 
@@ -117,25 +118,20 @@ pub mod io_faults {
         state: FaultState,
     }
 
-    static ARMED: Mutex<Option<Armed>> = Mutex::new(None);
-    static EXCLUSIVE: Mutex<()> = Mutex::new(());
-
-    fn lock<T>(m: &'static Mutex<T>) -> MutexGuard<'static, T> {
-        // A panicking test (e.g. an assertion failure while armed) must
-        // not wedge every later test: recover the poisoned guard.
-        m.lock().unwrap_or_else(|e| e.into_inner())
+    thread_local! {
+        static ARMED: RefCell<Option<Armed>> = const { RefCell::new(None) };
     }
 
-    /// Keeps the fault armed while alive; disarms (and releases the test
-    /// serialization lock) on drop.
+    /// Keeps the fault armed on this thread while alive; disarms on drop.
+    /// The guard is `!Send`: it disarms the thread that armed it.
     #[must_use = "the fault is disarmed as soon as the guard drops"]
     pub struct FaultGuard {
-        _exclusive: MutexGuard<'static, ()>,
+        _not_send: PhantomData<*const ()>,
     }
 
     impl Drop for FaultGuard {
         fn drop(&mut self) {
-            *lock(&ARMED) = None;
+            ARMED.set(None);
         }
     }
 
@@ -145,44 +141,44 @@ pub mod io_faults {
         }
     }
 
-    /// Arms `fault` process-wide and returns the disarming guard.
-    ///
-    /// Blocks until any previously armed fault's guard drops, so tests
-    /// using the injector serialize automatically.
+    /// Arms `fault` for the calling thread and returns the disarming
+    /// guard. Arm one fault per thread at a time: arming again replaces
+    /// the fault, and dropping either guard disarms.
     pub fn arm(fault: WriteFault) -> FaultGuard {
-        let exclusive = lock(&EXCLUSIVE);
-        *lock(&ARMED) = Some(Armed {
+        ARMED.set(Some(Armed {
             fault,
             state: FaultState::default(),
-        });
+        }));
         FaultGuard {
-            _exclusive: exclusive,
+            _not_send: PhantomData,
         }
     }
 
-    /// Bytes the armed fault has seen committed, and how often it fired;
-    /// `None` when disarmed. Lets tests assert the fault actually
-    /// triggered rather than silently missing the write path.
+    /// Bytes the fault armed on this thread has seen committed, and how
+    /// often it fired; `None` when disarmed. Lets tests assert the fault
+    /// actually triggered rather than silently missing the write path.
     pub fn armed_state() -> Option<(u64, u32)> {
-        lock(&ARMED)
-            .as_ref()
-            .map(|a| (a.state.written, a.state.fired))
+        ARMED.with_borrow(|armed| armed.as_ref().map(|a| (a.state.written, a.state.fired)))
     }
 
     fn filtered_write<W: Write>(inner: &mut W, buf: &[u8]) -> std::io::Result<usize> {
-        // The lock is released before the inner commit: `inner` may itself
-        // route through this injector (it should not, but a nested wrap
-        // must double-filter, never deadlock).
-        let decision = lock(&ARMED)
-            .as_mut()
-            .map(|a| a.fault.decide(&mut a.state, buf.len()));
+        // The borrow is released before the inner commit: `inner` may
+        // itself route through this injector (it should not, but a nested
+        // wrap must double-filter, never panic on a held borrow).
+        let decision = ARMED.with_borrow_mut(|armed| {
+            armed
+                .as_mut()
+                .map(|a| a.fault.decide(&mut a.state, buf.len()))
+        });
         match decision {
             None => inner.write(buf),
             Some((commit, err)) => {
                 inner.write_all(&buf[..commit])?;
-                if let Some(a) = lock(&ARMED).as_mut() {
-                    a.state.written += commit as u64;
-                }
+                ARMED.with_borrow_mut(|armed| {
+                    if let Some(a) = armed.as_mut() {
+                        a.state.written += commit as u64;
+                    }
+                });
                 match err {
                     Some(e) => Err(e),
                     None => Ok(commit),
@@ -192,14 +188,14 @@ pub mod io_faults {
     }
 
     /// An [`std::io::Write`] adapter that meters every write against the
-    /// globally armed fault (pass-through when disarmed).
+    /// fault armed on the writing thread (pass-through when disarmed).
     #[derive(Debug)]
     pub struct MaybeFaulty<W: Write> {
         inner: W,
     }
 
     impl<W: Write> MaybeFaulty<W> {
-        /// Wraps `inner` behind the global injector.
+        /// Wraps `inner` behind the injector.
         pub fn new(inner: W) -> Self {
             Self { inner }
         }

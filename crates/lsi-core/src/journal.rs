@@ -49,10 +49,11 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use crate::frame::{self, FrameError, FrameScan};
 use crate::index::{BadQuery, LsiError, LsiIndex};
 use crate::iofault::{io_faults, RetryPolicy};
 use crate::sections::SectionId;
-use crate::storage::{self, write_index_atomic, Crc32, StorageError};
+use crate::storage::{self, write_index_atomic, StorageError};
 
 /// Journal file magic.
 const MAGIC: [u8; 4] = *b"LSIJ";
@@ -60,10 +61,7 @@ const MAGIC: [u8; 4] = *b"LSIJ";
 const VERSION: u32 = 1;
 /// Header length in bytes (magic + version).
 const HEADER_LEN: usize = 8;
-/// Upper bound on one frame body, rejected before any allocation so a
-/// corrupt length prefix cannot drive memory use.
-const MAX_FRAME: usize = 1 << 24;
-/// Upper bound on terms per record (same spirit as `MAX_FRAME`).
+/// Upper bound on terms per record (same spirit as [`frame::MAX_FRAME`]).
 const MAX_TERMS: u32 = 1 << 22;
 /// Upper bound on a document-id string, in bytes.
 const MAX_DOC_ID: u32 = 1 << 20;
@@ -233,18 +231,14 @@ pub fn journal_bytes(records: &[MutationRecord]) -> Vec<u8> {
 }
 
 /// Encodes one record as a complete journal frame (length prefix, body,
-/// CRC trailer). Public for the crash-matrix and fuzz harnesses.
+/// CRC trailer) through [`frame::encode_frame`]. Public for the
+/// crash-matrix and fuzz harnesses.
+///
+/// # Panics
+/// Panics if the record's body exceeds [`frame::MAX_FRAME`] bytes;
+/// [`Journal::append`] rejects such a record with a typed error first.
 pub fn encode_frame(record: &MutationRecord) -> Vec<u8> {
-    let body = encode_body(record);
-    let len = body.len() as u32;
-    let mut frame = Vec::with_capacity(8 + body.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&body);
-    let mut crc = Crc32::new();
-    crc.update(&len.to_le_bytes());
-    crc.update(&body);
-    frame.extend_from_slice(&crc.finalize().to_le_bytes());
-    frame
+    frame::encode_frame(&encode_body(record))
 }
 
 fn encode_body(record: &MutationRecord) -> Vec<u8> {
@@ -426,34 +420,25 @@ pub fn decode_frames(bytes: &[u8]) -> (Vec<MutationRecord>, usize, Option<Trunca
     let mut pos = 0usize;
     while pos < bytes.len() {
         let rest = &bytes[pos..];
-        if rest.len() < 4 {
-            return (records, pos, Some(TruncationCause::TornFrame));
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        if !(MIN_BODY..=MAX_FRAME).contains(&len) {
+        // A body shorter than tag + seq can never decode, so such a length
+        // is malformed even before the rest of its frame has arrived.
+        if frame::declared_len(rest).is_some_and(|len| len < MIN_BODY) {
             return (records, pos, Some(TruncationCause::MalformedRecord));
         }
-        if rest.len() < 4 + len + 4 {
-            return (records, pos, Some(TruncationCause::TornFrame));
-        }
-        let body = &rest[4..4 + len];
-        let stored = u32::from_le_bytes([
-            rest[4 + len],
-            rest[4 + len + 1],
-            rest[4 + len + 2],
-            rest[4 + len + 3],
-        ]);
-        let mut crc = Crc32::new();
-        crc.update(&rest[0..4]);
-        crc.update(body);
-        if crc.finalize() != stored {
-            return (records, pos, Some(TruncationCause::ChecksumMismatch));
-        }
-        match decode_body(body) {
-            Some(record) => records.push(record),
-            None => return (records, pos, Some(TruncationCause::MalformedRecord)),
-        }
-        pos += 4 + len + 4;
+        let cause = match frame::scan_frame(rest) {
+            Ok(FrameScan::Complete { payload, consumed }) => match decode_body(payload) {
+                Some(record) => {
+                    records.push(record);
+                    pos += consumed;
+                    continue;
+                }
+                None => TruncationCause::MalformedRecord,
+            },
+            Ok(FrameScan::Incomplete) => TruncationCause::TornFrame,
+            Err(FrameError::TooLarge { .. }) => TruncationCause::MalformedRecord,
+            Err(FrameError::ChecksumMismatch { .. }) => TruncationCause::ChecksumMismatch,
+        };
+        return (records, pos, Some(cause));
     }
     (records, pos, None)
 }
@@ -617,8 +602,20 @@ impl Journal {
     /// faults are retried with bounded backoff; recovery would also
     /// truncate a torn tail, but an *unacknowledged* frame must not
     /// survive either.
+    ///
+    /// A record whose body exceeds [`frame::MAX_FRAME`] bytes is refused
+    /// with [`StorageError::BadDimensions`] before anything is written:
+    /// replay would reject its frame, so it must never be acknowledged.
     pub fn append(&mut self, record: &MutationRecord) -> Result<(), StorageError> {
-        let frame = encode_frame(record);
+        let body = encode_body(record);
+        if body.len() > frame::MAX_FRAME {
+            return Err(StorageError::BadDimensions(format!(
+                "journal record body of {} bytes exceeds the {}-byte frame cap",
+                body.len(),
+                frame::MAX_FRAME
+            )));
+        }
+        let frame = frame::encode_frame(&body);
         let pre_len = self.file.metadata()?.len();
         RetryPolicy::default().run(|| {
             let result =
@@ -1305,6 +1302,55 @@ mod tests {
             assert_eq!(valid, boundary, "cut at {cut}");
             assert!(cause.is_some(), "cut at {cut} should report a cause");
         }
+    }
+
+    #[test]
+    fn every_truncation_cause_is_named() {
+        let good = encode_frame(&sample_records()[0]);
+        let cause = |bytes: &[u8]| decode_frames(bytes).2;
+        assert_eq!(cause(&good), None);
+        // A cut length prefix, or a cut frame behind a plausible one.
+        assert_eq!(cause(&good[..3]), Some(TruncationCause::TornFrame));
+        assert_eq!(
+            cause(&good[..good.len() - 1]),
+            Some(TruncationCause::TornFrame)
+        );
+        // A length below tag + seq is malformed, whole frame or not.
+        let short = crate::frame::encode_frame(&[2, 0, 0, 0]);
+        assert_eq!(cause(&short), Some(TruncationCause::MalformedRecord));
+        assert_eq!(cause(&short[..5]), Some(TruncationCause::MalformedRecord));
+        let mut short_bad_crc = short.clone();
+        *short_bad_crc.last_mut().unwrap() ^= 1;
+        assert_eq!(
+            cause(&short_bad_crc),
+            Some(TruncationCause::MalformedRecord)
+        );
+        // A length above the cap is malformed, though nothing follows it.
+        let huge = ((crate::frame::MAX_FRAME + 1) as u32).to_le_bytes();
+        assert_eq!(cause(&huge), Some(TruncationCause::MalformedRecord));
+        // A flipped body byte fails the checksum.
+        let mut flipped = good.clone();
+        flipped[6] ^= 1;
+        assert_eq!(cause(&flipped), Some(TruncationCause::ChecksumMismatch));
+        // A checksum-valid body with an unknown tag does not decode.
+        let bad_tag = crate::frame::encode_frame(&[9; MIN_BODY]);
+        assert_eq!(cause(&bad_tag), Some(TruncationCause::MalformedRecord));
+    }
+
+    #[test]
+    fn oversized_record_is_refused_before_any_write() {
+        let dir = temp_dir("oversized");
+        let path = dir.join("m.lsij");
+        let mut j = Journal::create(&path).expect("create");
+        let before = std::fs::read(&path).expect("read");
+        // 16 bytes per term: just over the frame cap.
+        let terms = vec![(0usize, 1.0f64); crate::frame::MAX_FRAME / 16 + 1];
+        let err = j
+            .append(&MutationRecord::FoldIn { seq: 0, terms })
+            .expect_err("over-cap record");
+        assert!(matches!(err, StorageError::BadDimensions(_)), "{err}");
+        assert_eq!(std::fs::read(&path).expect("read"), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use angles::{pairwise_angle_stats, AngleStats, PairAngleReport};
 pub use cancel::CancelToken;
 pub use config::{LsiConfig, SvdBackend};
 pub use frame::{FrameError, FrameScan};
-pub use index::{BadQuery, BuildStatus, LsiError, LsiIndex, VectorQuery};
+pub use index::{BadQuery, BuildStatus, LsiError, LsiIndex};
 pub use iofault::{io_faults, is_transient, RetryPolicy};
 pub use journal::{
     journal_path, DurabilityError, DurableIndex, Journal, JournalRecovery, MutationRecord,

@@ -283,72 +283,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Dots a block of rows against a batch of query vectors — the batched
-    /// scoring kernel behind coalesced query serving: one pass over the row
-    /// block serves every query in the batch, amortizing the row-matrix
-    /// memory traffic that per-query scans pay repeatedly.
-    ///
-    /// Writes `out[r * queries.len() + q] =
-    /// vector::dot(queries[q], self.row(row0 + r))` for `r` in `0..rows` —
-    /// note the query is the *first* `dot` operand, exactly as in a
-    /// per-query scan, so every output element is bit-identical to the
-    /// unbatched computation for any batch composition. Structurally this
-    /// is a GEMM (`rows × cols` block times `cols × nq` query matrix), but
-    /// each element deliberately uses the [`vector::dot`] rounding sequence
-    /// (no zero-skip) rather than the packed [`crate::gemm`] kernel, so
-    /// batched and sequential scoring agree bit for bit even on signed
-    /// zeros. Row blocks run on the [`parallel`] executor; elements are
-    /// independent, so any thread count produces identical bytes.
-    ///
-    /// Errors if `row0 + rows` overflows the matrix, any query length
-    /// differs from `ncols`, or `out.len() != rows * queries.len()`.
-    pub fn dot_rows_batch_into(
-        &self,
-        row0: usize,
-        rows: usize,
-        queries: &[&[f64]],
-        out: &mut [f64],
-    ) -> Result<()> {
-        let nq = queries.len();
-        if row0.checked_add(rows).is_none_or(|end| end > self.rows)
-            || out.len() != rows.saturating_mul(nq)
-        {
-            return Err(LinalgError::InvalidDimension {
-                op: "dot_rows_batch_into",
-                detail: format!(
-                    "rows {row0}..{row0}+{rows} of {} with {} queries into {} outputs",
-                    self.rows,
-                    nq,
-                    out.len()
-                ),
-            });
-        }
-        if let Some(q) = queries.iter().find(|q| q.len() != self.cols) {
-            return Err(LinalgError::ShapeMismatch {
-                op: "dot_rows_batch_into",
-                left: self.shape(),
-                right: (q.len(), 1),
-            });
-        }
-        let work = rows
-            .saturating_mul(self.cols)
-            .saturating_mul(nq)
-            .saturating_mul(2);
-        if nq == 0 {
-            return Ok(());
-        }
-        parallel::for_chunks_mut(out, MATVEC_ROW_GRAIN * nq, work, |_, offset, chunk| {
-            let r0 = offset / nq;
-            for (r, out_row) in chunk.chunks_mut(nq).enumerate() {
-                let row = self.row(row0 + r0 + r);
-                for (o, q) in out_row.iter_mut().zip(queries) {
-                    *o = vector::dot(q, row);
-                }
-            }
-        });
-        Ok(())
-    }
-
     /// `selfᵀ * x`.
     pub fn matvec_transpose(&self, x: &[f64]) -> Result<Vec<f64>> {
         let mut out = vec![0.0; self.cols];
@@ -651,35 +585,6 @@ mod tests {
         for (u, v) in z.iter().zip(&via_t) {
             assert!((u - v).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn dot_rows_batch_matches_per_query_dots_bitwise() {
-        let m = Matrix::from_fn(9, 5, |i, j| ((i * 5 + j) as f64 * 0.37).sin());
-        let q0: Vec<f64> = (0..5).map(|i| (i as f64 * 1.1).cos()).collect();
-        let q1: Vec<f64> = (0..5).map(|i| (i as f64) - 2.0).collect();
-        let queries: Vec<&[f64]> = vec![&q0, &q1];
-        let mut out = vec![0.0; 3 * 2];
-        m.dot_rows_batch_into(4, 3, &queries, &mut out).unwrap();
-        for r in 0..3 {
-            for (q, qv) in queries.iter().enumerate() {
-                assert_eq!(
-                    out[r * 2 + q].to_bits(),
-                    vector::dot(qv, m.row(4 + r)).to_bits()
-                );
-            }
-        }
-        // Empty batch and empty block are no-ops.
-        m.dot_rows_batch_into(0, 9, &[], &mut []).unwrap();
-        m.dot_rows_batch_into(9, 0, &queries, &mut []).unwrap();
-        // Shape errors are typed.
-        assert!(m.dot_rows_batch_into(8, 2, &queries, &mut out).is_err());
-        assert!(m
-            .dot_rows_batch_into(0, 1, &[&q0[..4]], &mut out[..1])
-            .is_err());
-        assert!(m
-            .dot_rows_batch_into(0, 3, &queries, &mut out[..5])
-            .is_err());
     }
 
     #[test]

@@ -15,8 +15,8 @@ pub enum Role {
     Bin,
     /// An example (`examples/*`).
     Example,
-    /// An integration test or bench (`tests/*`, `benches/*`): every line is
-    /// treated as test code.
+    /// An integration test or bench (`tests/*`, `benches/*`, and the
+    /// `perfbench/` benchmark harness): every line is treated as test code.
     TestOrBench,
 }
 
@@ -140,6 +140,7 @@ fn classify(rel: &str) -> Role {
         || p.starts_with("tests/")
         || p.contains("/benches/")
         || p.starts_with("benches/")
+        || p.starts_with("perfbench/")
     {
         Role::TestOrBench
     } else if p.contains("/examples/") || p.starts_with("examples/") {
@@ -584,5 +585,7 @@ mod tests {
         assert_eq!(classify("examples/quickstart.rs"), Role::Example);
         assert_eq!(classify("crates/lsi-cli/src/main.rs"), Role::Bin);
         assert_eq!(classify("crates/lsi-bench/src/bin/reproduce.rs"), Role::Bin);
+        assert_eq!(classify("perfbench/src/main.rs"), Role::TestOrBench);
+        assert_eq!(classify("perfbench/src/workloads.rs"), Role::TestOrBench);
     }
 }

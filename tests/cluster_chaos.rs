@@ -191,9 +191,7 @@ fn storm_config() -> ClusterConfig {
             deadline: None, // overridden by hard_deadline anyway
             soft_deadline: None,
             fault_hook: None,
-            // Per-shard fault hooks (installed by the cluster) disable
-            // coalescing anyway; keep the storm explicitly per-query.
-            max_batch: 1,
+            ..EngineConfig::default()
         },
         soft_deadline: Some(Duration::from_millis(10)),
         hard_deadline: Duration::from_secs(5),

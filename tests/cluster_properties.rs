@@ -103,13 +103,14 @@ proptest! {
         many.shutdown();
     }
 
-    /// Coalescing is invisible too: for any partitioning, any batch cap,
-    /// and whatever arrival order a concurrent burst produces, every
-    /// merged answer is bitwise the unsharded sequential answer.
+    /// Concurrency is invisible too: for any partitioning, any number of
+    /// workers per shard, and whatever arrival order a concurrent burst
+    /// produces, every merged answer is bitwise the unsharded sequential
+    /// answer.
     #[test]
-    fn batched_shard_scoring_answers_bitwise_like_sequential(
+    fn concurrent_shard_bursts_answer_bitwise_like_sequential(
         (shards, assignment) in partition_strategy(),
-        max_batch in 1usize..=8,
+        workers in 1usize..=3,
         (terms, top_k) in query_strategy(),
     ) {
         let index = reference();
@@ -119,9 +120,9 @@ proptest! {
             ClusterConfig {
                 shards,
                 assignment: Some(assignment),
-                // One worker per shard so a concurrent burst forms a real
-                // backlog for the worker to coalesce (when max_batch > 1).
-                engine: EngineConfig { workers: 1, max_batch, ..EngineConfig::default() },
+                // With one worker a concurrent burst queues up at each
+                // shard; with more, shard workers answer it in parallel.
+                engine: EngineConfig { workers, ..EngineConfig::default() },
                 ..ClusterConfig::default()
             },
         )

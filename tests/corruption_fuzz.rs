@@ -478,7 +478,7 @@ fn every_rpc_frame_flip_is_contained() {
                 assert_eq!(consumed, frame.len(), "frame byte count");
                 assert_eq!(p, payload, "scan returns the payload verbatim");
                 assert!(
-                    msg.decode_matches(&p).expect("pristine payload decodes"),
+                    msg.decode_matches(p).expect("pristine payload decodes"),
                     "pristine round trip is the identity"
                 );
             }
@@ -497,7 +497,7 @@ fn every_rpc_frame_flip_is_contained() {
                     Ok(FrameScan::Incomplete) => {}
                     Ok(FrameScan::Complete { payload: p, .. }) => {
                         assert!(
-                            msg.decode_matches(&p).is_err(),
+                            msg.decode_matches(p).is_err(),
                             "flip {mask:#04x} at frame offset {offset} survived \
                              the checksum and decoded"
                         );

@@ -2,7 +2,7 @@
 //!
 //! The contract under test: every durable write path — journal append,
 //! checkpoint compaction, atomic snapshot rewrite, cluster rebalance —
-//! routed through the process-global `io_faults` injector surfaces a
+//! routed through the `io_faults` injector surfaces a
 //! *typed* [`StorageError`]-shaped error when the device fills up, tears a
 //! write, or hiccups, and leaves **exact pre-state** on disk: the bytes of
 //! every already-durable file are unchanged, so a retry (or a reopen)
@@ -10,8 +10,9 @@
 //! are ridden out by the bounded retry policy without the caller ever
 //! seeing them.
 //!
-//! Arming the injector takes a process-wide exclusive lock, so these
-//! tests serialize automatically even under a parallel test runner.
+//! An armed fault meters only the writes of the thread that armed it, so
+//! these tests run side by side under a parallel test runner without
+//! seeing each other's faults.
 
 use std::path::PathBuf;
 
@@ -326,5 +327,34 @@ fn cluster_rebalance_enospc_is_typed_and_moves_nothing() {
     assert!(reports.iter().all(|r| r.is_ok()));
     assert_eq!(reopened.fingerprint(), live);
     reopened.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn armed_fault_leaves_other_threads_unmetered() {
+    let dir = temp_dir("other_thread");
+    let reference = dir.join("reference.lsix");
+    let path = dir.join("index.lsix");
+    let index = sample_index();
+    write_index_atomic(&reference, &index).expect("reference write");
+
+    // A fault that fails any write on this thread at its first byte.
+    let _guard = io_faults::arm(WriteFault::Enospc { after: 0 });
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| write_index_atomic(&path, &index).expect("unarmed thread writes"))
+            .join()
+            .expect("writer thread");
+    });
+    assert_eq!(
+        std::fs::read(&path).expect("written file readable"),
+        std::fs::read(&reference).expect("reference readable"),
+        "the other thread's write must land byte-exact"
+    );
+    assert_eq!(
+        io_faults::armed_state(),
+        Some((0, 0)),
+        "another thread's write was metered against this thread's fault"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

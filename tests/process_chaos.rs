@@ -173,7 +173,7 @@ fn storm_config() -> ClusterConfig {
             deadline: None, // the daemons apply their own hard deadline
             soft_deadline: None,
             fault_hook: None,
-            max_batch: 1,
+            ..EngineConfig::default()
         },
         // Short soft deadline: a freshly killed daemon that stops
         // answering makes in-flight scatters hedge — into the *same*

@@ -137,9 +137,7 @@ fn fault_storm_every_submission_resolves_typed() {
             TAG_POISON => panic!("chaos: poisoned scorer (tag {tag})"),
             _ => {}
         })),
-        // The hook disables coalescing anyway; the storm's accounting
-        // (one respawn per poisoned query) is strictly per-query.
-        max_batch: 1,
+        ..EngineConfig::default()
     };
     let engine = Arc::new(QueryEngine::with_fallback(index, &td, config));
 
@@ -269,7 +267,7 @@ fn slow_query_times_out_while_fast_queries_complete() {
                 std::thread::sleep(Duration::from_millis(400));
             }
         })),
-        max_batch: 1,
+        ..EngineConfig::default()
     };
     let engine = QueryEngine::with_fallback(index, &td, config);
 
@@ -312,7 +310,7 @@ fn overload_storm_sheds_typed_and_books_balance() {
         fault_hook: Some(Arc::new(|_| {
             std::thread::sleep(Duration::from_millis(5));
         })),
-        max_batch: 1,
+        ..EngineConfig::default()
     };
     let engine = QueryEngine::with_fallback(index, &td, config);
     let mut tickets = Vec::new();
@@ -374,7 +372,7 @@ fn soft_deadline_overrun_degrades_not_fails() {
         deadline: Some(Duration::from_secs(30)),
         soft_deadline: Some(Duration::ZERO),
         fault_hook: None,
-        max_batch: EngineConfig::default().max_batch,
+        ..EngineConfig::default()
     };
     let engine = QueryEngine::with_fallback(index, &td, config);
     for _ in 0..8 {
