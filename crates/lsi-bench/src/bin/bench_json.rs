@@ -14,15 +14,23 @@
 //! on a single-core host the >1-thread rows measure scheduling overhead,
 //! not speedup, and the JSON says so rather than hiding it.
 //!
+//! A 1-thread `dense_matmul_reference` row times the serial reference
+//! GEMM beside the packed kernel, calls alternating, and records the
+//! reference's fastest call and the packed kernel's speedup over it
+//! (fastest call against fastest call).
+//!
 //! `--smoke` shrinks problem sizes and repetitions so CI can verify the
 //! path end-to-end in well under a second. `--gate BASELINE.json`
-//! re-measures the single-thread dense matmul and exits non-zero when it
-//! regresses more than 20% below the committed baseline's GFLOP/s.
+//! re-measures that speedup and exits non-zero when it falls more than
+//! 20% below the committed one. Both kernels run on the same host in the
+//! same minute, so the ratio holds across hosts where absolute GFLOP/s
+//! does not.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use lsi_linalg::gemm::gemm_reference;
 use lsi_linalg::lanczos::{lanczos_svd, LanczosOptions};
 use lsi_linalg::parallel::set_threads;
 use lsi_linalg::rng::{gaussian_matrix, seeded};
@@ -30,9 +38,13 @@ use lsi_linalg::{CsrMatrix, LinearOperator, Matrix, Result as LinalgResult};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Largest single-thread GFLOP/s regression `--gate` tolerates before
-/// failing, as a fraction of the committed baseline.
+/// Largest drop of the packed/reference GEMM speedup `--gate` tolerates
+/// before failing, as a fraction of the committed speedup.
 const GATE_TOLERANCE: f64 = 0.20;
+
+/// Calls per side in the paired packed/reference GEMM timing; each side
+/// keeps its fastest call.
+const PAIRED_CALLS: usize = 7;
 
 struct Args {
     out: String,
@@ -60,22 +72,50 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { out, smoke, gate })
 }
 
+/// Wall time of one call of `f`, in milliseconds.
+fn time_ms(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
 /// Median wall time in milliseconds over `reps` runs of `f`.
 ///
 /// # Panics
-/// Panics if the experiment's hard-coded parameters become infeasible
-/// (a programmer error caught immediately at startup, never a
-/// data-dependent failure).
+/// Panics if a timing is NaN, which `Instant` never yields.
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+    let mut times: Vec<f64> = (0..reps).map(|_| time_ms(&mut f)).collect();
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     times[times.len() / 2]
+}
+
+/// Fastest wall milliseconds of the packed `Matrix::matmul` and of the
+/// serial `gemm_reference` on one linalg thread, over [`PAIRED_CALLS`]
+/// calls each. The two kernels alternate, so drift in the host's speed
+/// lands on both sides of the ratio alike. Each side keeps its fastest
+/// call because a shared host only ever adds time: on one busy 2-vCPU
+/// host, ten runs' ratio of fastest calls spread 1.56–1.75 where the ratio
+/// of medians spread 1.33–1.79.
+///
+/// # Panics
+/// Panics if either product of two square benchmark matrices fails — a
+/// programmer error in the bench itself.
+fn paired_matmul_ms(a: &Matrix, b: &Matrix) -> (f64, f64) {
+    let n = a.nrows();
+    let mut c = vec![0.0; n * n];
+    set_threads(1);
+    let (mut packed, mut reference) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..PAIRED_CALLS {
+        packed = packed.min(time_ms(|| {
+            std::hint::black_box(a.matmul(b).unwrap());
+        }));
+        reference = reference.min(time_ms(|| {
+            gemm_reference(n, n, n, a.as_slice(), b.as_slice(), &mut c).unwrap();
+            std::hint::black_box(&c);
+        }));
+    }
+    set_threads(0);
+    (packed, reference)
 }
 
 struct Record {
@@ -87,6 +127,9 @@ struct Record {
     /// rows carry a matvec-count estimate rather than an exact count.
     gflops: Option<f64>,
     speedup_vs_1t: f64,
+    /// Reference time over packed time, both measured by
+    /// [`paired_matmul_ms`]; set on the `dense_matmul_reference` row only.
+    packed_speedup: Option<f64>,
 }
 
 /// Runs one kernel at every thread count and returns its records.
@@ -109,6 +152,7 @@ fn sweep(
             wall_ms,
             gflops: flops.map(|fl| fl / (wall_ms * 1e6)),
             speedup_vs_1t: base / wall_ms,
+            packed_speedup: None,
         });
         eprintln!("  {kernel:<24} threads={t}  {wall_ms:>10.3} ms");
     }
@@ -162,10 +206,11 @@ impl LinearOperator for CountingOp<'_> {
     }
 }
 
-/// Extracts the committed `gflops` for one (kernel, threads) row from a
-/// previously emitted baseline file. The parser leans on the emitter's
-/// one-row-per-line format below — it is not a general JSON reader.
-fn committed_gflops(path: &str, kernel: &str, threads: usize) -> Result<f64, String> {
+/// Extracts the committed numeric `field` of one (kernel, threads) row
+/// from a previously emitted baseline file. The parser leans on the
+/// emitter's one-row-per-line format below — it is not a general JSON
+/// reader.
+fn committed_field(path: &str, kernel: &str, threads: usize, field: &str) -> Result<f64, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let kernel_key = format!("\"kernel\": \"{kernel}\"");
     let threads_key = format!("\"threads\": {threads},");
@@ -173,51 +218,46 @@ fn committed_gflops(path: &str, kernel: &str, threads: usize) -> Result<f64, Str
         if !line.contains(&kernel_key) || !line.contains(&threads_key) {
             continue;
         }
-        let key = "\"gflops\": ";
+        let key = format!("\"{field}\": ");
         let pos = line
-            .find(key)
-            .ok_or_else(|| format!("{path}: row without a gflops field"))?
+            .find(&key)
+            .ok_or_else(|| format!("{path}: {kernel} row without a {field} field"))?
             + key.len();
         let rest = &line[pos..];
         let end = rest.find([',', '}']).unwrap_or(rest.len());
         return rest[..end]
             .trim()
             .parse()
-            .map_err(|e| format!("{path}: bad gflops value: {e}"));
+            .map_err(|e| format!("{path}: bad {field} value: {e}"));
     }
     Err(format!("{path} has no {kernel} threads={threads} row"))
 }
 
-/// Perf-regression gate: re-measures the single-thread dense matmul (the
-/// packed-GEMM hot path) at the full benchmark size and fails when it has
-/// lost more than [`GATE_TOLERANCE`] of the committed baseline's GFLOP/s.
-/// Run-to-run noise on a quiet host is a few percent; a 20% drop means
-/// the kernel regressed, not the weather.
-///
-/// # Panics
-/// Panics if the square matmul of two well-formed benchmark matrices
-/// fails — a programmer error in the bench itself.
+/// Perf-regression gate: times the single-thread packed matmul against the
+/// serial reference GEMM at the full benchmark size and fails when the
+/// packed kernel's speedup has lost more than [`GATE_TOLERANCE`] of the
+/// committed speedup. A host that runs everything 2× slower slows both
+/// sides of the ratio; a packed kernel that regresses slows one.
 fn run_gate(baseline_path: &str) -> Result<(), String> {
     let dim = 1000usize;
-    let committed = committed_gflops(baseline_path, "dense_matmul", 1)?;
+    let committed = committed_field(baseline_path, "dense_matmul_reference", 1, "packed_speedup")?;
     let mut rng = seeded(0xbe7c);
     let a = gaussian_matrix(&mut rng, dim, dim);
     let b = gaussian_matrix(&mut rng, dim, dim);
-    set_threads(1);
-    let wall_ms = median_ms(3, || {
-        std::hint::black_box(a.matmul(&b).unwrap());
-    });
-    set_threads(0);
-    let measured = 2.0 * (dim as f64).powi(3) / (wall_ms * 1e6);
+    let (packed_ms, reference_ms) = paired_matmul_ms(&a, &b);
+    let gflops = |ms: f64| 2.0 * (dim as f64).powi(3) / (ms * 1e6);
+    let speedup = reference_ms / packed_ms;
     let floor = committed * (1.0 - GATE_TOLERANCE);
     println!(
-        "gate: dense_matmul {dim}³ 1-thread  measured {measured:.2} GFLOP/s  \
-         committed {committed:.2}  floor {floor:.2}"
+        "gate: dense_matmul {dim}³ 1-thread  packed {:.2} GFLOP/s  reference {:.2} GFLOP/s  \
+         speedup {speedup:.3}  committed {committed:.3}  floor {floor:.3}",
+        gflops(packed_ms),
+        gflops(reference_ms)
     );
-    if measured < floor {
+    if speedup < floor {
         return Err(format!(
-            "perf gate failed: dense_matmul measured {measured:.2} GFLOP/s, \
-             below {floor:.2} ({:.0}% of the committed {committed:.2}) — \
+            "perf gate failed: packed GEMM speedup over the reference is {speedup:.3}, \
+             below {floor:.3} ({:.0}% of the committed {committed:.3}) — \
              if the regression is intended, regenerate {baseline_path} with bench-json",
             100.0 * (1.0 - GATE_TOLERANCE)
         ));
@@ -267,6 +307,20 @@ fn main() -> Result<(), String> {
             std::hint::black_box(a.matmul(&b).unwrap());
         },
     ));
+    let (packed_ms, reference_ms) = paired_matmul_ms(&a, &b);
+    records.push(Record {
+        kernel: "dense_matmul_reference",
+        shape: format!("{dim}x{dim}x{dim}"),
+        threads: 1,
+        wall_ms: reference_ms,
+        gflops: Some(2.0 * (dim as f64).powi(3) / (reference_ms * 1e6)),
+        speedup_vs_1t: 1.0,
+        packed_speedup: Some(reference_ms / packed_ms),
+    });
+    eprintln!(
+        "  dense_matmul_reference   threads=1  {reference_ms:>10.3} ms  packed speedup {:.3}",
+        reference_ms / packed_ms
+    );
 
     // Dense matvec on the same matrix: 2·n² flops.
     let x = vec![1.0; dim];
@@ -330,9 +384,12 @@ fn main() -> Result<(), String> {
     json.push_str("  \"kernels\": [\n");
     for (i, r) in records.iter().enumerate() {
         let gflops = r.gflops.map_or("null".to_owned(), |g| format!("{g:.4}"));
+        let packed = r
+            .packed_speedup
+            .map_or(String::new(), |s| format!(", \"packed_speedup\": {s:.3}"));
         let _ = write!(
             json,
-            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"threads\": {}, \"wall_ms\": {:.4}, \"gflops\": {}, \"speedup_vs_1t\": {:.3}}}",
+            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"threads\": {}, \"wall_ms\": {:.4}, \"gflops\": {}, \"speedup_vs_1t\": {:.3}{packed}}}",
             r.kernel, r.shape, r.threads, r.wall_ms, gflops, r.speedup_vs_1t
         );
         json.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });

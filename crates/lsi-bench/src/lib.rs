@@ -8,8 +8,7 @@
 //!
 //! Each module `eN_*` implements one experiment with a `run*` entry point
 //! returning a typed result that renders via `.table()`. The `reproduce`
-//! binary drives them all; the Criterion benches reuse the same code at
-//! bench-friendly scales.
+//! binary drives them all.
 
 pub mod common;
 pub mod e10_ablations;

@@ -1,5 +1,5 @@
 // Fixture: K1-thread-dependent-blocking must stay quiet on size-only
-// blocking geometry, even next to thread-pool plumbing elsewhere.
+// blocking geometry and chunk math, even next to thread-pool plumbing.
 
 pub fn block_plan(m: usize, n: usize, k: usize) -> (usize, usize, usize) {
     // Geometry is a pure function of the problem dimensions.
@@ -9,7 +9,14 @@ pub fn block_plan(m: usize, n: usize, k: usize) -> (usize, usize, usize) {
     (mc, kc, nc)
 }
 
+pub fn plan(len: usize) -> usize {
+    // Boundary depends only on problem size: identical for every thread
+    // count.
+    let chunk_size = len.div_ceil(8).max(64);
+    chunk_size
+}
+
 pub fn pool_size(num_threads: usize) -> usize {
-    // The thread count sizes the pool, never the panels.
+    // The thread count sizes the pool, never the panels or chunks.
     num_threads.max(1)
 }

@@ -15,8 +15,8 @@ pub enum Role {
     Bin,
     /// An example (`examples/*`).
     Example,
-    /// An integration test or bench (`tests/*`, `benches/*`, and the
-    /// `perfbench/` benchmark harness): every line is treated as test code.
+    /// An integration test or the `perfbench/` benchmark harness
+    /// (`tests/*`, `perfbench/*`): every line is treated as test code.
     TestOrBench,
 }
 
@@ -136,12 +136,7 @@ impl FileContext {
 /// Classifies a workspace-relative path.
 fn classify(rel: &str) -> Role {
     let p = rel.replace('\\', "/");
-    if p.contains("/tests/")
-        || p.starts_with("tests/")
-        || p.contains("/benches/")
-        || p.starts_with("benches/")
-        || p.starts_with("perfbench/")
-    {
+    if p.contains("/tests/") || p.starts_with("tests/") || p.starts_with("perfbench/") {
         Role::TestOrBench
     } else if p.contains("/examples/") || p.starts_with("examples/") {
         Role::Example

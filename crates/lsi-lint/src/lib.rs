@@ -23,11 +23,10 @@
 //! | `D2-unseeded-rng` | deny | RNG-constructing fns take `seed: u64` or `&mut impl Rng` |
 //! | `D3-hasher-order` | deny | no unordered `HashMap`/`HashSet` iteration feeding ordered output |
 //! | `E1-panic-policy` | deny | `unwrap`/`expect`/`panic!` only under a documented `# Panics` contract |
-//! | `K1-thread-dependent-blocking` | warn | GEMM blocking geometry derives from sizes only |
+//! | `K1-thread-dependent-blocking` | warn | blocking geometry and chunk boundaries derive from sizes only |
 //! | `L1-lock-order-cycle` | warn | Mutex/RwLock acquisition order forms a DAG |
 //! | `M1-arrival-order-merge` | warn | cross-worker merges reduce in slot order, never arrival order |
 //! | `P1-raw-threads` | deny | threads only in `lsi_linalg::parallel` + serve worker pool |
-//! | `P2-thread-dependent-chunking` | warn | chunk boundaries never derive from thread counts |
 //! | `R1-reflector` | warn | Householder reflectors come from `vector::householder_reflector` |
 //! | `S1-unsynced-write` | deny | created/renamed files reach `sync_all`/`sync_parent_dir`, here or via callers |
 //! | `S2-unchecked-length-alloc` | warn | readers bound decoded lengths before allocating |

@@ -1,9 +1,11 @@
-//! K1-thread-dependent-blocking: kernel blocking geometry (GEMM panel
-//! sizes, pack layouts) must be a pure function of problem size. Deriving
-//! `kc`/`mc`/`nc` or a pack decision from the thread count or the host's
-//! CPU count silently changes accumulation order with the environment and
-//! breaks bitwise reproducibility. Heuristic (warn-level): flag lines
-//! where a blocking-geometry identifier meets a runtime-parallelism
+//! K1-thread-dependent-blocking: work partitioning — kernel blocking
+//! geometry (GEMM panel sizes, pack layouts) and chunk boundaries alike —
+//! must be a pure function of problem size. Deriving `kc`/`mc`/`nc`, a pack
+//! decision or a chunk length from the thread count or the host's CPU
+//! count silently changes accumulation order with the environment and
+//! breaks bitwise reproducibility. Heuristic (warn-level): flag lines where
+//! a runtime-parallelism identifier meets either a blocking-geometry
+//! identifier, or division/modulo/`div_ceil` together with a size-ish
 //! identifier.
 
 use super::{contains_token, emit, Rule};
@@ -21,6 +23,19 @@ const GEOMETRY_TOKENS: &[&str] = &[
     "pack_a",
     "pack_b",
     "micro_kernel",
+];
+
+/// Identifiers that suggest division arithmetic feeds a partition size.
+const SIZE_TOKENS: &[&str] = &[
+    "chunk",
+    "chunks",
+    "chunk_size",
+    "grain",
+    "block",
+    "stride",
+    "len",
+    "size",
+    "per_thread",
 ];
 
 /// Identifiers whose value varies with the execution environment.
@@ -46,7 +61,7 @@ impl Rule for K1ThreadDependentBlocking {
         Severity::Warn
     }
     fn description(&self) -> &'static str {
-        "kernel blocking/packing geometry must depend only on problem size"
+        "blocking geometry and chunk boundaries must depend only on problem size"
     }
     fn check(&self, ctx: &FileContext, out: &mut Vec<Finding>) {
         if ctx.role == Role::TestOrBench {
@@ -57,12 +72,15 @@ impl Rule for K1ThreadDependentBlocking {
             if ctx.is_test_line(lineno) {
                 continue;
             }
-            let has_geometry = GEOMETRY_TOKENS.iter().any(|t| contains_token(line, t));
-            if !has_geometry {
+            if !RUNTIME_TOKENS.iter().any(|t| contains_token(line, t)) {
                 continue;
             }
-            let has_runtime = RUNTIME_TOKENS.iter().any(|t| contains_token(line, t));
-            if !has_runtime {
+            let has_geometry = GEOMETRY_TOKENS.iter().any(|t| contains_token(line, t));
+            let has_div =
+                line.contains('/') || line.contains('%') || contains_token(line, "div_ceil");
+            let has_size = SIZE_TOKENS.iter().any(|t| contains_token(line, t));
+            let partitions = has_geometry || (has_div && has_size);
+            if !partitions {
                 continue;
             }
             emit(
@@ -71,8 +89,8 @@ impl Rule for K1ThreadDependentBlocking {
                 self.id(),
                 self.severity(),
                 lineno,
-                "blocking/packing geometry meets a runtime-parallelism value; panel and pack decisions must be size-only".to_string(),
-                "choose kc/mc/nc and pack layouts from problem dimensions alone (see lsi_linalg::gemm::block_plan)",
+                "a runtime-parallelism value shapes blocking geometry or chunk boundaries; partitioning must be size-only".to_string(),
+                "choose kc/mc/nc, pack layouts and chunk lengths from problem dimensions alone (see lsi_linalg::gemm::block_plan and lsi_linalg::parallel)",
             );
         }
     }

@@ -20,7 +20,6 @@ mod k1;
 mod l1;
 mod m1;
 mod p1;
-mod p2;
 mod r1;
 mod s1;
 mod s2;
@@ -73,7 +72,6 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(k1::K1ThreadDependentBlocking),
         Box::new(m1::M1ArrivalOrderMerge),
         Box::new(p1::P1RawThreads),
-        Box::new(p2::P2ThreadDependentChunking),
         Box::new(r1::R1Reflector),
         Box::new(s2::S2UncheckedLengthAlloc),
         Box::new(t1::T1UnboundedSocketRead),

@@ -16,7 +16,6 @@ const RULES: &[(&str, &str)] = &[
     ("l1", "L1-lock-order-cycle"),
     ("m1", "M1-arrival-order-merge"),
     ("p1", "P1-raw-threads"),
-    ("p2", "P2-thread-dependent-chunking"),
     ("r1", "R1-reflector"),
     ("s1", "S1-unsynced-write"),
     ("s2", "S2-unchecked-length-alloc"),
@@ -97,7 +96,6 @@ fn warn_rules_have_warn_severity() {
         ("k1", "K1-thread-dependent-blocking"),
         ("l1", "L1-lock-order-cycle"),
         ("m1", "M1-arrival-order-merge"),
-        ("p2", "P2-thread-dependent-chunking"),
         ("r1", "R1-reflector"),
         ("s2", "S2-unchecked-length-alloc"),
         ("t1", "T1-unbounded-socket-read"),
@@ -194,6 +192,18 @@ fn every_registered_rule_has_fixture_coverage() {
             "rule {id} fired on its quiet fixture: {quiet_hits:#?}"
         );
     }
+}
+
+#[test]
+fn k1_flags_blocking_geometry_and_chunk_arithmetic() {
+    // One rule polices size-only partitioning: both the GEMM panel lines
+    // and the chunk-boundary division lines of the fire fixture trip it.
+    let lines: Vec<usize> = lint_fixture("fire", "k1")
+        .iter()
+        .filter(|f| f.rule == "K1-thread-dependent-blocking")
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(lines, vec![5, 10, 15, 20], "K1 findings by line");
 }
 
 #[test]

@@ -67,6 +67,6 @@ fn main() {
     }
     println!(
         "\nthe excess column is what Theorem 5 bounds by 2ε for l = Ω(log n / ε²);\n\
-         the speedup grows with the vocabulary size n (see bench_e6_runtime)."
+         the speedup grows with the vocabulary size n (see reproduce --exp e6)."
     );
 }

@@ -1,16 +1,25 @@
-//! Property tests for the sharded serving tier: partition-invariance of
-//! the scatter-gather answer and order-invariance of the top-k merge.
+//! Property tests for the query surfaces: partition-invariance of the
+//! scatter-gather answer, order-invariance of the top-k merge, and bitwise
+//! agreement of every surface with the reference scorer in
+//! `support/oracle.rs`.
 //!
 //! The coordinator's contract is that sharding is invisible: for any way
 //! of cutting the corpus into shards, the merged top-k is bitwise the
 //! answer a single unsharded engine would give, and the merge itself
 //! cannot depend on which shard replied first (replies land in
 //! shard-indexed slots, so the reduction order is fixed by construction —
-//! these properties pin that down against regressions).
+//! these properties pin that down against regressions). The eager, lazy
+//! streaming and sharded surfaces all answer like the oracle, including on
+//! an index built to trip tie and zero handling.
+
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use std::io::Cursor;
 
 use proptest::prelude::*;
 
-use lsi_repro::core::{LsiConfig, LsiIndex};
+use lsi_repro::core::{write_index, LazySnapshot, LsiConfig, LsiIndex};
 use lsi_repro::corpus::{SeparableConfig, SeparableModel};
 use lsi_repro::ir::{RankedList, SearchHit, TermDocumentMatrix};
 use lsi_repro::linalg::rng::seeded;
@@ -55,10 +64,116 @@ fn cluster_with(index: &LsiIndex, shards: usize, assignment: Vec<usize>) -> Clus
     .expect("valid partitioning")
 }
 
-/// Strategy: an arbitrary shard count and an arbitrary assignment of the
-/// 18 documents to those shards (shards may end up empty).
-fn partition_strategy() -> impl Strategy<Value = (usize, Vec<usize>)> {
-    (1usize..=5).prop_flat_map(|shards| (Just(shards), proptest::collection::vec(0..shards, 18)))
+/// Strategy: an arbitrary shard count and an arbitrary assignment of
+/// `docs` documents to those shards (shards may end up empty).
+fn partition_strategy(docs: usize) -> impl Strategy<Value = (usize, Vec<usize>)> {
+    (1usize..=5)
+        .prop_flat_map(move |shards| (Just(shards), proptest::collection::vec(0..shards, docs)))
+}
+
+/// The probe [`oracle::adversarial`] aims its extra rows at.
+const PROBE: &[(usize, f64)] = &[(0, 1.0), (7, 0.5), (23, 1.5)];
+
+/// Rows in `oracle::adversarial(&reference(), PROBE)`.
+const ADVERSARIAL_DOCS: usize = 30;
+
+/// The `top_k` values each adversarial query is asked at: none, one, a
+/// cut inside the first tie of the full ranking, every row, unbounded.
+fn edge_ks(index: &LsiIndex, terms: &[(usize, f64)]) -> [usize; 5] {
+    let full = oracle::query(index, terms, usize::MAX);
+    let in_tie = full.windows(2).position(|w| w[0].1 == w[1].1);
+    [
+        0,
+        1,
+        in_tie.map_or(2, |p| p + 1),
+        index.n_docs(),
+        usize::MAX,
+    ]
+}
+
+fn complete_bits(cluster: &Cluster, terms: &[(usize, f64)], top_k: usize) -> Vec<(usize, u64)> {
+    match cluster.query(Query::new(terms.to_vec(), top_k)) {
+        Ok(ClusterResponse::Complete(hits)) => bits(&hits),
+        other => panic!("healthy cluster did not answer Complete: {other:?}"),
+    }
+}
+
+/// Every query surface answers the adversarial index bitwise like the
+/// oracle: eager `try_query` and `try_query_vector`, `query_streaming`
+/// over the index's v3 bytes, and in-process clusters at 1, 2 and 4
+/// shards, at every edge `top_k`.
+#[test]
+fn every_surface_answers_adversarial_cases_like_the_oracle() {
+    let index = oracle::adversarial(&reference(), PROBE);
+    assert_eq!(index.n_docs(), ADVERSARIAL_DOCS);
+    // The probe really meets clamped, exactly-zero and tied scores.
+    let full = oracle::query(&index, PROBE, usize::MAX);
+    for edge in [1.0f64, -1.0, 0.0] {
+        assert!(
+            full.iter().any(|h| h.1 == edge.to_bits()),
+            "no {edge} score"
+        );
+    }
+    assert!(full.windows(2).any(|w| w[0].1 == w[1].1));
+
+    let mut bytes = Vec::new();
+    write_index(&mut bytes, &index).expect("v3 bytes");
+    let mut lazy = LazySnapshot::open(Cursor::new(bytes)).expect("lazy open");
+    let clusters: Vec<Cluster> = [1, 2, 4]
+        .iter()
+        .map(|&shards| {
+            cluster_with(
+                &index,
+                shards,
+                (0..ADVERSARIAL_DOCS).map(|d| d % shards).collect(),
+            )
+        })
+        .collect();
+    // The probe, an all-zero query, a self-cancelling one, and a sweep.
+    let mut queries = vec![PROBE.to_vec(), vec![(3, 0.0)], vec![(5, 1.5), (5, -1.5)]];
+    queries.extend((0..12).map(|t| vec![(4 * t, 1.0), (4 * t + 1, -0.5)]));
+    for terms in &queries {
+        let q = index.try_fold_in(terms).expect("in-range query");
+        for k in edge_ks(&index, terms) {
+            let want = oracle::query(&index, terms, k);
+            let at = format!("{terms:?} top {k}");
+            assert_eq!(
+                bits(&index.try_query(terms, k, None).unwrap()),
+                want,
+                "try_query {at}"
+            );
+            assert_eq!(
+                bits(&index.try_query_vector(&q, k, None).unwrap()),
+                want,
+                "try_query_vector {at}"
+            );
+            assert_eq!(
+                bits(&lazy.query_streaming(terms, k).unwrap()),
+                want,
+                "query_streaming {at}"
+            );
+            for (cluster, shards) in clusters.iter().zip([1, 2, 4]) {
+                assert_eq!(
+                    complete_bits(cluster, terms, k),
+                    want,
+                    "{shards} shards, {at}"
+                );
+            }
+        }
+    }
+
+    // e₀ meets the signed-zero row at exactly −0.0.
+    let mut e0 = vec![0.0; index.rank()];
+    e0[0] = 1.0;
+    let want = oracle::top_k(&index, &e0, usize::MAX);
+    assert!(want.iter().any(|h| h.1 == (-0.0f64).to_bits()));
+    assert_eq!(
+        bits(&index.try_query_vector(&e0, usize::MAX, None).unwrap()),
+        want
+    );
+    for cluster in clusters {
+        cluster.shutdown();
+    }
 }
 
 fn query_strategy() -> impl Strategy<Value = (Vec<(usize, f64)>, usize)> {
@@ -85,11 +200,12 @@ proptest! {
     /// the 1-shard answer, which is bitwise the unsharded index's answer.
     #[test]
     fn any_partitioning_answers_bitwise_like_one_shard(
-        (shards, assignment) in partition_strategy(),
+        (shards, assignment) in partition_strategy(18),
         (terms, top_k) in query_strategy(),
     ) {
         let index = reference();
-        let want = bits(&index.try_query(&terms, top_k, None).expect("reference query"));
+        let want = oracle::query(&index, &terms, top_k);
+        prop_assert_eq!(bits(&index.try_query(&terms, top_k, None).expect("eager query")), want.clone());
 
         let single = cluster_with(&index, 1, vec![0; 18]);
         let many = cluster_with(&index, shards, assignment);
@@ -109,12 +225,12 @@ proptest! {
     /// answer.
     #[test]
     fn concurrent_shard_bursts_answer_bitwise_like_sequential(
-        (shards, assignment) in partition_strategy(),
+        (shards, assignment) in partition_strategy(18),
         workers in 1usize..=3,
         (terms, top_k) in query_strategy(),
     ) {
         let index = reference();
-        let want = bits(&index.try_query(&terms, top_k, None).expect("reference query"));
+        let want = oracle::query(&index, &terms, top_k);
         let cluster = Cluster::build(
             &index,
             ClusterConfig {
@@ -142,6 +258,22 @@ proptest! {
                 });
             }
         });
+        cluster.shutdown();
+    }
+
+    /// For any partitioning of the adversarial index, any query and any
+    /// edge `top_k`, the merged answer is bitwise the oracle's: exact ties
+    /// land on random sides of random shard boundaries.
+    #[test]
+    fn adversarial_partitionings_answer_like_the_oracle(
+        (shards, assignment) in partition_strategy(ADVERSARIAL_DOCS),
+        (terms, _) in query_strategy(),
+        pick in 0usize..5,
+    ) {
+        let index = oracle::adversarial(&reference(), PROBE);
+        let top_k = edge_ks(&index, &terms)[pick];
+        let cluster = cluster_with(&index, shards, assignment);
+        prop_assert_eq!(complete_bits(&cluster, &terms, top_k), oracle::query(&index, &terms, top_k));
         cluster.shutdown();
     }
 

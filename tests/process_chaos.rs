@@ -24,7 +24,12 @@
 //!   the cross-process cluster's fingerprint and probe answer bit for
 //!   bit.
 //!
-//! A second test proves the stale-socket sweep: a daemon killed with the
+//! Before any kill, quiet supervised fleets at 1, 2 and 4 shards must
+//! answer a seeded probe set over an index built to trip tie and zero
+//! handling bitwise like the reference scorer in `support/oracle.rs`, and
+//! so like the unsharded index.
+//!
+//! A further test proves the stale-socket sweep: a daemon killed with the
 //! socket path still on disk must be replaceable by a fresh daemon on the
 //! same path (startup unlinks the leftover, the analogue of the journal's
 //! stale `.tmp` sweep).
@@ -33,6 +38,9 @@
 //! `SERVE_SOAK=1` raises the volume. Kill timing is inherently
 //! wall-clock, so *outcome counts* vary run to run — the assertions are
 //! invariants over every outcome, never counts.
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -63,7 +71,8 @@ fn main() {
         return;
     }
     // harness = false: run the tests ourselves (filter args are ignored —
-    // the two tests share the expensive daemon machinery anyway).
+    // the tests share the expensive daemon machinery anyway).
+    quiet_fleets_answer_like_the_oracle();
     storm_survives_sigkill_at_every_point();
     respawn_after_kill_sweeps_stale_socket();
     respawn_never_reuses_a_socket_path();
@@ -297,6 +306,68 @@ fn settle_by_killing_everything(
             }
         }
     }
+}
+
+/// Supervised fleets at 1, 2 and 4 shards, with no kills, answer a seeded
+/// probe set bitwise like the oracle and the unsharded index. The index
+/// carries exact twins across shard boundaries, retired and all-zero rows,
+/// clamped and exactly-zero scores; `top_k` takes 0, 1, a cut inside a
+/// tie, every row and `usize::MAX`.
+fn quiet_fleets_answer_like_the_oracle() {
+    let seed = chaos_seed().wrapping_add(300);
+    let base = LsiIndex::build(&corpus(seed), LsiConfig::with_rank(3)).unwrap();
+    let index = oracle::adversarial(&base, &[(0, 1.0), (7, 0.5), (23, 1.5)]);
+    let (n_terms, n_docs) = (index.n_terms(), index.n_docs());
+    let mut rng = lsi_repro::linalg::rng::seeded(seed);
+    let probes: Vec<(Vec<(usize, f64)>, usize)> = (0..24)
+        .flat_map(|_| {
+            let terms: Vec<(usize, f64)> = (0..rng.gen_range(1usize..=4))
+                .map(|_| (rng.gen_range(0..n_terms), rng.gen_range(-2.0..2.0)))
+                .collect();
+            let full = oracle::query(&index, &terms, usize::MAX);
+            let in_tie = full.windows(2).position(|w| w[0].1 == w[1].1);
+            [0, 1, in_tie.map_or(2, |p| p + 1), n_docs, usize::MAX].map(|k| (terms.clone(), k))
+        })
+        .collect();
+    for shards in [1, 2, 4] {
+        let dir = temp_dir(&format!("quiet_{shards}"));
+        let config = ClusterConfig {
+            shards,
+            soft_deadline: None,
+            ..storm_config()
+        };
+        Cluster::create(&index, &dir, config.clone())
+            .expect("create shard layout")
+            .shutdown();
+        let (cluster, supervisor) = ShardSupervisor::launch(
+            &dir,
+            config,
+            supervisor_command(),
+            SupervisorConfig::default(),
+        )
+        .expect("launch daemons");
+        for (terms, k) in &probes {
+            let want = oracle::query(&index, terms, *k);
+            let unsharded = index.try_query(terms, *k, None).expect("unsharded query");
+            assert_eq!(bits(&unsharded), want, "unsharded {terms:?} top {k}");
+            match cluster.query(Query::new(terms.clone(), *k)) {
+                Ok(ClusterResponse::Complete(hits)) => {
+                    assert_eq!(bits(&hits), want, "{shards} daemons, {terms:?} top {k}")
+                }
+                other => panic!("quiet {shards}-daemon fleet did not answer Complete: {other:?}"),
+            }
+        }
+        supervisor.shutdown();
+        match Arc::try_unwrap(cluster) {
+            Ok(cluster) => cluster.shutdown(),
+            Err(_) => panic!("all cluster handles must have been dropped"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    println!(
+        "process_chaos: quiet 1/2/4-daemon fleets answered {} probes like the oracle",
+        probes.len()
+    );
 }
 
 /// Phase A: the 2400-query storm with a killer SIGKILLing daemons
